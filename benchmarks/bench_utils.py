@@ -19,6 +19,11 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+import numpy as np
+
+from repro.core.scoring import combined_score
+from repro.utils.rng import new_rng
+
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 
@@ -44,3 +49,28 @@ def run_once(benchmark, func):
     only affordable choice.
     """
     return benchmark.pedantic(func, rounds=1, iterations=1)
+
+
+def seed_select_locations(layer, channel_activations, bits_needed, config):
+    """The seed's per-layer selection: full argsort over an inf-masked matrix.
+
+    An independent re-implementation of the paper's location selection
+    (score every weight, drop excluded positions, keep the ``|B_c|`` lowest
+    scores in stable order, sub-sample ``bits_needed`` with the seed-``d``
+    RNG) that shares none of the engine's ``argpartition`` top-k code.  The
+    engine throughput benchmark times it as the seed pipeline, and the
+    selection-oracle tests compare the engine's locations against it.
+    """
+    scores = combined_score(
+        layer, channel_activations, config.alpha, config.beta,
+        exclude_saturated=config.exclude_saturated,
+    )
+    flat = scores.reshape(-1)
+    finite = np.flatnonzero(np.isfinite(flat))
+    pool_size = min(config.candidate_pool_size(layer.num_weights), finite.size)
+    order = np.argsort(flat[finite], kind="stable")
+    candidates = finite[order[:pool_size]]
+    rng = new_rng(config.seed, "selection", layer.name)
+    return np.asarray(
+        rng.choice(candidates, size=bits_needed, replace=False), dtype=np.int64
+    )

@@ -32,18 +32,17 @@ from pathlib import Path
 from typing import Callable, Dict
 
 import numpy as np
+from bench_utils import seed_select_locations
 
 from repro.core.config import EmMarkConfig
-from repro.core.scoring import combined_score
 from repro.core.signature import generate_signature, split_signature_per_layer
 from repro.data.wikitext import build_wikitext_sim
-from repro.engine import EngineConfig, WatermarkEngine
+from repro.engine import WatermarkEngine
 from repro.models.activations import collect_activation_stats
 from repro.models.config import ModelConfig
 from repro.models.training import TrainingConfig, train_language_model
 from repro.models.transformer import TransformerLM
 from repro.quant.api import quantize_model
-from repro.utils.rng import new_rng
 
 
 def _smoke() -> bool:
@@ -70,23 +69,6 @@ def _best_of(fn: Callable[[], object], repeats: int) -> float:
 # ----------------------------------------------------------------------
 # Seed-equivalent reference pipeline (pre-engine code path)
 # ----------------------------------------------------------------------
-def _seed_select_locations(layer, channel_activations, bits_needed, config):
-    """The seed's per-layer selection: full argsort over an inf-masked matrix."""
-    scores = combined_score(
-        layer, channel_activations, config.alpha, config.beta,
-        exclude_saturated=config.exclude_saturated,
-    )
-    flat = scores.reshape(-1)
-    finite = np.flatnonzero(np.isfinite(flat))
-    pool_size = min(config.candidate_pool_size(layer.num_weights), finite.size)
-    order = np.argsort(flat[finite], kind="stable")
-    candidates = finite[order[:pool_size]]
-    rng = new_rng(config.seed, "selection", layer.name)
-    return np.asarray(
-        rng.choice(candidates, size=bits_needed, replace=False), dtype=np.int64
-    )
-
-
 def _seed_roundtrip(model, activations, config):
     """Serial insert + extract with per-call rescoring (the seed behaviour)."""
     layer_names = model.layer_names()
@@ -95,7 +77,7 @@ def _seed_roundtrip(model, activations, config):
     watermarked = model.clone()
     for name in layer_names:
         layer = watermarked.get_layer(name)
-        locations = _seed_select_locations(
+        locations = seed_select_locations(
             layer, activations.channel_saliency(name), per_layer[name].size, config
         )
         layer.add_to_weights(locations, per_layer[name])
@@ -103,7 +85,7 @@ def _seed_roundtrip(model, activations, config):
     matched = 0
     for name in layer_names:
         reference_layer = model.get_layer(name)
-        locations = _seed_select_locations(
+        locations = seed_select_locations(
             reference_layer, activations.channel_saliency(name), per_layer[name].size, config
         )
         delta = (
@@ -162,7 +144,7 @@ def test_engine_throughput():
 
     # -- engine: cold round-trip (fresh cache every run) ------------------
     def engine_cold_roundtrip():
-        engine = WatermarkEngine(EngineConfig())
+        engine = WatermarkEngine()
         watermarked, key, _ = engine.insert(quantized, activations, config=config)
         result = engine.extract(watermarked, key)
         assert result.wer_percent == 100.0
@@ -170,7 +152,7 @@ def test_engine_throughput():
     engine_roundtrip = _best_of(engine_cold_roundtrip, repeats)
 
     # -- engine: steady-state insertion / extraction throughput ----------
-    engine = WatermarkEngine(EngineConfig())
+    engine = WatermarkEngine()
     watermarked, key, first_report = engine.insert(quantized, activations, config=config)
     cold_verification = first_report.wall_clock_seconds + engine.extract(
         watermarked, key
@@ -182,7 +164,7 @@ def test_engine_throughput():
     warm_extraction_time = _best_of(lambda: engine.extract(watermarked, key), repeats)
 
     def cold_extraction():
-        fresh = WatermarkEngine(EngineConfig())
+        fresh = WatermarkEngine()
         fresh.extract(watermarked, key)
 
     cold_extraction_time = _best_of(cold_extraction, repeats)
@@ -195,7 +177,6 @@ def test_engine_throughput():
         "bits": quantized.bits,
         "num_layers": num_layers,
         "bits_per_layer": config.bits_per_layer,
-        "workers": engine.workers,
         "repeats": repeats,
         "platform": platform.platform(),
         "seed_roundtrip_seconds": seed_roundtrip,

@@ -9,7 +9,7 @@ magnitude pruning, LoRA fine-tuning, RTN and GPTQ re-quantization, scale
 tampering, outlier-column rewrites, structured head/row pruning, the
 adaptive (algorithm-aware) attacker and model souping — is swept on the
 streaming pipeline: each attacked model is verified against the shared
-key-plan session and released the moment its worker finishes, so the grid
+key-plan session and released before the next cell starts, so the grid
 size is bounded by CPU, not memory.
 
 Run with:  python examples/attack_resilience_study.py [--profile smoke|default]
@@ -31,8 +31,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--profile", default="smoke", choices=["smoke", "default"])
     parser.add_argument("--model", default="opt-2.7b-sim")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="gauntlet worker-pool width (default: auto)")
     args = parser.parse_args()
     configure()
 
@@ -79,7 +77,6 @@ def main() -> None:
         {args.model: GauntletSubject(model=watermarked, key=key, harness=harness)},
         attacks,
         strengths=strengths,
-        max_workers=args.workers,
         seed=7,
     )
 

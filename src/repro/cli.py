@@ -199,17 +199,16 @@ def build_parser() -> argparse.ArgumentParser:
                                "pairing for the model family and precision)")
     gauntlet.add_argument("--mode", default="streaming", choices=["streaming", "batched"],
                           help="cell execution: streaming verifies and releases each "
-                               "attacked model as its worker finishes (O(workers) peak "
-                               "memory); batched retains the whole grid for one "
-                               "verify_fleet sweep (default: streaming)")
+                               "attacked model as its cell finishes (one attacked "
+                               "model in memory); batched retains the whole grid for "
+                               "one verify_fleet sweep (default: streaming)")
     gauntlet.add_argument("--executor", default=None,
-                          choices=["auto", "serial", "thread", "process"],
-                          help="who runs the cells: serial (one worker, in-process), "
-                               "thread (streaming thread pool), process (worker "
-                               "processes over shared-memory model residents — "
-                               "GIL-free attack stages), or auto (serial on "
-                               "single-core boxes / tiny grids, process otherwise). "
-                               "Overrides --mode; default: --mode's executor")
+                          choices=["auto", "serial", "process"],
+                          help="who runs the cells: serial (in-process streaming), "
+                               "process (worker processes over shared-memory model "
+                               "residents), or auto (serial on single-core boxes / "
+                               "tiny grids, process otherwise). Overrides --mode; "
+                               "default: --mode's executor")
     gauntlet.add_argument("--start-method", default=None,
                           choices=["fork", "spawn", "forkserver"],
                           help="multiprocessing start method for the process "
@@ -224,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "overwrite=0,100,300 (repeatable; default: the "
                                "attack's own sweep)")
     gauntlet.add_argument("--workers", type=int, default=None,
-                          help="worker-pool width (default: auto)")
+                          help="process-pool width of the process executor "
+                               "(default: REPRO_GAUNTLET_WORKERS, then min(8, cores))")
     gauntlet.add_argument("--seed", type=int, default=0, help="attacker RNG root seed")
     gauntlet.add_argument("--no-quality", action="store_true",
                           help="skip perplexity / zero-shot evaluation (WER only)")
@@ -610,17 +610,13 @@ def _cmd_gauntlet(args: argparse.Namespace) -> int:
                   "(use --checkpoint to start a new one)", file=sys.stderr)
             return 2
         checkpoint = args.resume
-    # --executor maps onto (mode, max_workers); --mode keeps addressing the
-    # in-process pipelines directly (streaming vs the batched reference).
-    mode, workers = args.mode, args.workers
+    # --executor picks the mode; --mode keeps addressing the in-process
+    # pipelines directly (streaming vs the batched reference).
+    mode = args.mode
     if args.executor == "serial":
-        mode, workers = "streaming", 1
-    elif args.executor == "thread":
         mode = "streaming"
-    elif args.executor == "process":
-        mode = "process"
-    elif args.executor == "auto":
-        mode = "auto"
+    elif args.executor is not None:
+        mode = args.executor
     quant_method = None if args.quant == "auto" else args.quant
     logger.info("preparing watermarked %s (INT%d, %s quantization, %s profile)...",
                 args.model, args.bits, args.quant, args.profile)
@@ -651,7 +647,7 @@ def _cmd_gauntlet(args: argparse.Namespace) -> int:
                 strengths=strengths or None,
                 checkpoint=checkpoint,
                 engine=context.engine,
-                max_workers=workers,
+                max_workers=args.workers,
                 seed=args.seed,
                 evaluate_quality=not args.no_quality,
                 mode=mode,

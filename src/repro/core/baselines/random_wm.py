@@ -15,7 +15,7 @@ EmMark stays lossless.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -25,9 +25,6 @@ from repro.core.signature import generate_signature, split_signature_per_layer, 
 from repro.models.activations import ActivationStats
 from repro.quant.base import QuantizedModel
 from repro.utils.rng import new_rng
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.engine import WatermarkEngine
 
 __all__ = ["RandomWM"]
 
@@ -49,11 +46,6 @@ class RandomWM(Watermarker):
         are re-rolled (gives RandomWM its best case: 100% WER, as observed in
         Table 1, while still damaging quality).  When false, clipped
         insertions silently lose their bit.
-    engine:
-        :class:`~repro.engine.WatermarkEngine` supplying the parallel layer
-        executor; the process-wide default is used when omitted.  (RandomWM
-        selects positions per layer with its own per-layer RNG stream, so
-        layers are independent and safe to watermark concurrently.)
     """
 
     method_name = "random_wm"
@@ -64,7 +56,6 @@ class RandomWM(Watermarker):
         seed: int = 100,
         signature_seed: int = 1,
         avoid_clipping: bool = True,
-        engine: "Optional[WatermarkEngine]" = None,
     ) -> None:
         if bits_per_layer < 1:
             raise ValueError("bits_per_layer must be >= 1")
@@ -72,7 +63,6 @@ class RandomWM(Watermarker):
         self.seed = int(seed)
         self.signature_seed = int(signature_seed)
         self.avoid_clipping = bool(avoid_clipping)
-        self.engine = engine
 
     def _layer_positions(
         self, layer, layer_signature: np.ndarray, rng: np.random.Generator
@@ -123,7 +113,7 @@ class RandomWM(Watermarker):
             layer.add_to_weights(positions, per_layer[name])
             return name, np.asarray(positions, dtype=np.int64)
 
-        locations: Dict[str, np.ndarray] = dict(self.map_layers(watermark_layer, layer_names))
+        locations: Dict[str, np.ndarray] = dict(map(watermark_layer, layer_names))
         record = InsertionRecord(
             method=self.method_name,
             signature=signature,
@@ -156,7 +146,7 @@ class RandomWM(Watermarker):
         matched = 0
         total = 0
         per_layer_wer: Dict[str, float] = {}
-        for name, layer_matched, layer_bits in self.map_layers(match_layer, layer_names):
+        for name, layer_matched, layer_bits in map(match_layer, layer_names):
             total += layer_bits
             if layer_matched < 0:
                 per_layer_wer[name] = 0.0

@@ -45,7 +45,7 @@ class EmMark(Watermarker):
         :meth:`EmMarkConfig.scaled_for_model`.
     engine:
         The :class:`~repro.engine.WatermarkEngine` to run on; the
-        process-wide default engine (shared plan cache and thread pool) is
+        process-wide default engine (shared plan cache) is
         used when omitted.
 
     Examples

@@ -19,7 +19,7 @@ memory (Table 2).
 Since the engine refactor the heavy lifting lives in
 :class:`repro.engine.WatermarkEngine`: this module is the stable functional
 facade, routing through the process-wide default engine so insertion shares
-its memoized location plans and parallel layer executor with extraction,
+its memoized location plans with extraction,
 ownership verification and the batch serving APIs.
 """
 
@@ -124,8 +124,7 @@ def insert_watermark(
         Modify ``model`` directly instead of watermarking a copy.
     engine:
         Run on a specific :class:`~repro.engine.WatermarkEngine`; the
-        process-wide default engine (shared plan cache, shared thread pool)
-        is used when omitted.
+        process-wide default engine (shared plan cache) is used when omitted.
     occupied:
         Slots already held by co-resident watermarks — a
         :class:`repro.engine.SlotAllocator` or a plain ``{layer: indices}``

@@ -7,9 +7,7 @@ report the WER.  :class:`Watermarker` is the small abstract interface that
 lets the experiment treat them interchangeably.
 
 All schemes share the :class:`~repro.engine.WatermarkEngine` execution
-substrate: the base class exposes the engine's parallel layer executor
-(:meth:`Watermarker.map_layers`) so per-layer insertion/extraction loops run
-concurrently, and :meth:`Watermarker.extract_many` screens several suspects
+substrate, and :meth:`Watermarker.extract_many` screens several suspects
 against one insertion record in a single call.
 """
 
@@ -72,10 +70,6 @@ class Watermarker:
 
         return get_default_engine()
 
-    def map_layers(self, fn, items) -> List:
-        """Fan independent per-layer work out on the engine's thread pool."""
-        return self._engine.map_layers(fn, items)
-
     def insert(
         self,
         model: QuantizedModel,
@@ -94,10 +88,8 @@ class Watermarker:
     ) -> List[ExtractionResult]:
         """Extract the same watermark from several suspects.
 
-        The default implementation simply loops — each per-suspect
-        :meth:`extract` already parallelizes across layers on the shared
-        engine, and cached schemes (EmMark) reuse one location plan for the
-        whole batch.
+        The default implementation simply loops — cached schemes (EmMark)
+        reuse one location plan for the whole batch.
         """
         return [self.extract(suspect, record) for suspect in suspects]
 

@@ -15,8 +15,7 @@ pipeline in the reproduction:
   positions of a model are already held, so several independently keyed
   owners can co-reside in one integer-weight domain on disjoint pools.
 * :mod:`repro.engine.engine` — :class:`WatermarkEngine`, tying cached
-  planning, the fused top-k scoring kernel and a parallel layer executor
-  together, plus the batch serving APIs ``verify_fleet`` / ``insert_batch``
+  planning and the fused top-k scoring kernel together, plus the batch serving APIs ``verify_fleet`` / ``insert_batch``
   / ``insert_multi`` and the process-wide default engine shared by the
   functional ``repro.core`` entry points.
 

@@ -9,7 +9,7 @@ experiments in the same process) and returns an :class:`ExperimentContext`.
 Every context also carries the process-wide
 :class:`~repro.engine.WatermarkEngine`, so all experiments — and in
 particular the attack sweeps, which re-extract the same key many times —
-share one location-plan cache and one parallel layer executor.
+share one location-plan cache.
 """
 
 from __future__ import annotations

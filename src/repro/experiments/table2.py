@@ -31,9 +31,8 @@ class Table2Row:
     """Efficiency measurement for one precision.
 
     ``total_seconds`` is the summed per-layer CPU cost (the paper's metric:
-    per-layer time × layers, independent of how many engine workers ran);
-    ``wall_clock_seconds`` is the elapsed latency actually observed under the
-    parallel engine.
+    per-layer time × layers); ``wall_clock_seconds`` is the elapsed latency
+    actually observed.
     """
 
     bits: int

@@ -107,8 +107,7 @@ class CellCheckpoint:
     A torn final line (the crash landed mid-write) is tolerated on load and
     simply recomputed.
 
-    Thread-safe: the gauntlet's completion hooks may fire from pool worker
-    threads.
+    Thread-safe, so one checkpoint may be shared by concurrent writers.
     """
 
     def __init__(

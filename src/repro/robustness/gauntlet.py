@@ -1,4 +1,4 @@
-"""The robustness gauntlet: parallel (attack × strength × model) sweeps.
+"""The robustness gauntlet: (attack × strength × model) sweeps.
 
 Before this subsystem existed, every robustness figure hand-rolled the same
 loop — attack the watermarked model at one strength, evaluate quality,
@@ -9,31 +9,31 @@ into one reusable engine-backed pipeline:
 1. **Grid construction** — subjects (a watermarked model + its owner key +
    optionally an evaluation harness) crossed with registered attack specs
    and their strength sweeps produce an ordered list of cells.
-2. **Streaming match-and-release execution** (the default) — cells run on a
-   configurable worker pool; each worker attacks, measures quality, verifies
-   its cell through a shared
-   :class:`~repro.engine.engine.FleetVerificationSession` and **drops the
-   attacked model immediately**.  Each owner key's location plans are
+2. **Streaming match-and-release execution** (the default) — cells run one
+   after another in the calling thread; each cell is attacked, measured,
+   verified through a shared
+   :class:`~repro.engine.engine.FleetVerificationSession` and **the attacked
+   model is dropped immediately**.  Each owner key's location plans are
    reproduced once per run (lazily, on the first cell that needs them), so
-   peak memory is O(``max_workers`` × model size) instead of the batched
-   stage's O(num_cells × model size) — which is what makes arbitrarily large
-   grids feasible.
+   peak memory is O(model size) instead of the batched stage's
+   O(num_cells × model size) — which is what makes arbitrarily large grids
+   feasible.
 3. **Batched mode** (``mode="batched"``) — the original two-stage pipeline:
    every cell's attacked model is retained and verified in one
    :meth:`~repro.engine.engine.WatermarkEngine.verify_fleet` sweep.  Kept as
    the reference implementation; its decision digest is bit-identical to the
-   streaming path at any worker count (the benchmark gates on it).
+   streaming path (the benchmark gates on it).
 4. **Process mode** (``mode="process"``) — cells run in worker *processes*
    over shared-memory model/key residents
    (:mod:`repro.robustness.procpool`): one publication of the subjects into
    a :class:`~repro.engine.shm.SharedArena`, zero-copy read-only views per
    worker, only cell coordinates and verdicts crossing the process
-   boundary.  This sidesteps the GIL where attack stages are Python-heavy;
+   boundary.  This is the repository's only parallel executor;
    ``mode="auto"`` picks between serial and process execution based on the
    machine and the grid (see :meth:`Gauntlet._resolve_execution`).
 
 Each cell derives its own RNG from the gauntlet seed and the cell
-coordinates, so results are bit-identical at any ``max_workers`` and in
+coordinates, so results are bit-identical at any process-pool width and in
 every mode.  The result is a
 :class:`~repro.robustness.report.RobustnessReport`.
 """
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
@@ -110,12 +109,11 @@ class GauntletConfig:
     Attributes
     ----------
     max_workers:
-        Worker-pool width for cell execution.  ``None`` resolves to the
+        Process-pool width of ``mode="process"`` (and of ``"auto"`` when it
+        resolves to process execution).  ``None`` resolves to the
         ``REPRO_GAUNTLET_WORKERS`` environment variable, falling back to
-        ``min(8, cpu_count)``; ``1`` forces serial execution.  Results are
-        identical at every setting — the knob only trades wall clock (and,
-        in streaming mode, peak memory: at most ``max_workers`` attacked
-        models are alive at once).
+        ``min(8, cpu_count)``.  The in-process modes always run one cell at
+        a time and ignore it.  Results are identical at every setting.
     seed:
         Root seed of the per-cell attacker RNGs.
     wer_threshold, max_false_claim_probability:
@@ -125,9 +123,9 @@ class GauntletConfig:
         with a harness).  The verification server disables this — it holds
         keys and suspects, not evaluation corpora.
     mode:
-        ``"streaming"`` (default) verifies and releases each cell as its
-        worker finishes; ``"batched"`` retains every attacked model and runs
-        one ``verify_fleet`` sweep; ``"process"`` runs cells in worker
+        ``"streaming"`` (default) verifies and releases each cell as it
+        finishes; ``"batched"`` retains every attacked model and runs one
+        ``verify_fleet`` sweep; ``"process"`` runs cells in worker
         processes over shared-memory residents (GIL-free attack stages);
         ``"auto"`` falls back to serial streaming on single-core boxes or
         grids smaller than the worker pool, process execution otherwise.
@@ -165,7 +163,7 @@ class GauntletConfig:
             )
 
     def resolved_workers(self) -> int:
-        """The worker count after applying the environment override."""
+        """The process-pool width after applying the environment override."""
         if self.max_workers is not None:
             return self.max_workers
         env = os.environ.get("REPRO_GAUNTLET_WORKERS")
@@ -412,13 +410,12 @@ class Gauntlet:
         RobustnessReport
             Grid-major cell results plus sweep-level wall-clock and
             plan-cache figures.  Decision fields are identical for any
-            worker count and either execution mode.
+            process-pool width and every execution mode.
         """
         wall_start = time.perf_counter()
         subject_items = self._named_subjects(subjects)
         subject_for = dict(subject_items)
         cells = self._build_grid(subject_items, attacks, strengths)
-        workers = self.config.resolved_workers()
 
         if self.config.evaluate_quality:
             missing = [
@@ -462,7 +459,7 @@ class Gauntlet:
             if on_cell is not None:
                 on_cell(result, False)
 
-        mode, workers = self._resolve_execution(len(pending), workers)
+        mode, workers = self._resolve_execution(len(pending))
         renderer: Optional[ProgressRenderer] = None
         if self.config.progress and cells:
             renderer = ProgressRenderer(len(cells), stream=self.progress_stream)
@@ -486,11 +483,11 @@ class Gauntlet:
                         seed=self.config.seed,
                         workers=workers,
                         wall_clock_seconds=time.perf_counter() - wall_start,
-                        mode="streaming" if mode == "auto" else mode,
+                        mode=mode,
                     )
                 elif mode == "batched":
                     report = self._run_batched(
-                        subject_items, subject_for, pending, workers, wall_start,
+                        subject_items, subject_for, pending, wall_start,
                         renderer, emit, should_stop,
                     )
                 elif mode == "process":
@@ -500,7 +497,7 @@ class Gauntlet:
                     )
                 else:
                     report = self._run_streaming(
-                        subject_items, subject_for, pending, workers, wall_start,
+                        subject_items, subject_for, pending, wall_start,
                         renderer, emit, should_stop,
                     )
         finally:
@@ -508,13 +505,6 @@ class Gauntlet:
                 renderer.finish()
             if ckpt is not None:
                 ckpt.close()
-        if mode != "process":
-            # The in-process modes execute cells serially below the
-            # parallelism threshold and on a thread pool above it; record
-            # which one actually happened (informational — never digested).
-            report.executor = (
-                "serial" if (workers <= 1 or len(pending) < 2) else "thread"
-            )
         # Reassemble in grid order: replayed cells slot back into the
         # positions they were originally computed in, so the resumed digest
         # equals the uninterrupted one byte for byte.
@@ -546,33 +536,34 @@ class Gauntlet:
                 labels={"pid": pid},
             ).set(utilization)
 
-    def _resolve_execution(self, num_cells: int, workers: int) -> Tuple[str, int]:
-        """Resolve ``mode="auto"`` into a concrete (mode, workers) choice.
+    def _resolve_execution(self, num_cells: int) -> Tuple[str, int]:
+        """Resolve the configured mode into a concrete (mode, workers) choice.
 
-        The heuristic attacks the measured thread-mode regression head-on:
-        parallelism costs real money up front (pool spin-up, and for the
-        process mode a model publication + per-worker attach), so it must
-        not be bought where it cannot pay off —
+        The in-process modes run one cell at a time, so they report one
+        worker.  ``mode="auto"`` buys the process pool only where it can pay
+        off — its up-front cost is a model publication + per-worker attach —
 
-        * a single-core box cannot run two cells at once in any executor, and
+        * a single-core box cannot run two cells at once, and
         * a grid with fewer cells than workers leaves most of the pool idle
           while still paying its startup,
 
-        so both cases run serially (streaming pipeline, one worker).  Every
-        other machine/grid combination takes the process executor — the only
-        one whose attack stages escape the GIL.  Explicit modes are returned
-        unchanged; the resolved choice lands in ``RobustnessReport.mode``.
+        so both cases run serially (streaming pipeline).  Every other
+        machine/grid combination takes the process executor.  The resolved
+        choice lands in ``RobustnessReport.mode``.
         """
-        if self.config.mode != "auto":
-            return self.config.mode, workers
-        if (os.cpu_count() or 1) <= 1 or num_cells < workers:
-            return "streaming", 1
-        return "process", workers
+        mode = self.config.mode
+        workers = self.config.resolved_workers()
+        if mode == "auto":
+            if (os.cpu_count() or 1) <= 1 or num_cells < workers:
+                mode = "streaming"
+            else:
+                mode = "process"
+        return mode, workers if mode == "process" else 1
 
     def _cell_rng(self, cell: _Cell):
         # The RNG depends only on (seed, coordinates) — never on which worker
-        # picks the cell up or which mode runs it — so grids are reproducible
-        # at any pool width.
+        # process picks the cell up or which mode runs it — so grids are
+        # reproducible at any pool width.
         return new_rng(
             self.config.seed,
             "gauntlet",
@@ -585,8 +576,8 @@ class Gauntlet:
     def _cell_result(cell, owner, attacker, quality, attack_seconds, info, co=None):
         """One cell's report row.
 
-        Shared by both execution modes — being identical by construction is
-        part of the streaming ≡ batched decision guarantee.  ``co`` carries
+        Shared by every execution mode — being identical by construction is
+        part of the streaming ≡ batched ≡ process decision guarantee.  ``co`` carries
         the co-resident owners' :class:`PairVerification`\\ s for multi-owner
         subjects.
         """
@@ -617,7 +608,6 @@ class Gauntlet:
         subject_items: List[Tuple[str, GauntletSubject]],
         subject_for: Dict[str, GauntletSubject],
         cells: List[_Cell],
-        workers: int,
         wall_start: float,
         renderer: Optional[ProgressRenderer] = None,
         emit: Optional[Callable[[GauntletCellResult], None]] = None,
@@ -674,68 +664,26 @@ class Gauntlet:
             )
             # ``outcome`` — and with it the attacked model — dies with this
             # frame: nothing past this point references it, which is the
-            # O(workers × model size) peak-memory guarantee.
+            # O(model size) peak-memory guarantee.
             return result, verify_seconds
 
-        if workers <= 1 or len(cells) < 2:
-            outputs = []
-            for position, cell in enumerate(cells):
-                if should_stop is not None and should_stop():
-                    raise GauntletCancelled(position, len(cells))
-                output = run_cell(cell)
-                outputs.append(output)
-                if emit is not None:
-                    emit(output[0])
-                if renderer is not None:
-                    renderer.update(cell.spec.name, output[0].wer_percent)
-        else:
-            # A private pool: the engine's layer-level pool stays free for
-            # location reproduction (and for attacks that insert watermarks
-            # through an engine, e.g. re-watermarking).  Completion-order
-            # consumption feeds the progress line; outputs are reassembled
-            # in grid order, so results never depend on finish order.
-            def run_cell_cooperative(cell: _Cell) -> Tuple[GauntletCellResult, float]:
-                # Cancellation is between-cells: a worker picking up its next
-                # cell after the stop flag rose raises instead of attacking.
-                if should_stop is not None and should_stop():
-                    raise GauntletCancelled(0, len(cells))
-                return run_cell(cell)
-
-            with ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="gauntlet"
-            ) as pool:
-                future_for = {
-                    pool.submit(run_cell_cooperative, cell): cell for cell in cells
-                }
-                slots: List[Optional[Tuple[GauntletCellResult, float]]] = (
-                    [None] * len(cells)
-                )
-                position = {cell.index: i for i, cell in enumerate(cells)}
-                cancelled = False
-                for future in as_completed(future_for):
-                    cell = future_for[future]
-                    try:
-                        output = future.result()
-                    except GauntletCancelled:
-                        # Keep draining: cells that did complete are still
-                        # emitted (and checkpointed) below, so nothing
-                        # finished is lost to the cancellation.
-                        cancelled = True
-                        continue
-                    slots[position[cell.index]] = output
-                    if emit is not None:
-                        emit(output[0])
-                    if renderer is not None:
-                        renderer.update(cell.spec.name, output[0].wer_percent)
-                outputs = [output for output in slots if output is not None]
-                if cancelled:
-                    raise GauntletCancelled(len(outputs), len(cells))
+        outputs = []
+        for position, cell in enumerate(cells):
+            # Cancellation is between cells: completed cells are already
+            # emitted (and checkpointed), so nothing finished is lost.
+            if should_stop is not None and should_stop():
+                raise GauntletCancelled(position, len(cells))
+            output = run_cell(cell)
+            outputs.append(output)
+            if emit is not None:
+                emit(output[0])
+            if renderer is not None:
+                renderer.update(cell.spec.name, output[0].wer_percent)
 
         traffic = session.cache_traffic()
         return RobustnessReport(
             cells=[result for result, _ in outputs],
             seed=self.config.seed,
-            workers=workers,
             wall_clock_seconds=time.perf_counter() - wall_start,
             # Summed per-cell verification time: the verification work is
             # interleaved with the attacks, so there is no contiguous
@@ -890,13 +838,12 @@ class Gauntlet:
         subject_items: List[Tuple[str, GauntletSubject]],
         subject_for: Dict[str, GauntletSubject],
         cells: List[_Cell],
-        workers: int,
         wall_start: float,
         renderer: Optional[ProgressRenderer] = None,
         emit: Optional[Callable[[GauntletCellResult], None]] = None,
         should_stop: Optional[Callable[[], bool]] = None,
     ) -> RobustnessReport:
-        # -- stage 1: attack + quality, cell-parallel ----------------------
+        # -- stage 1: attack + quality, one cell at a time -----------------
         def run_cell(cell: _Cell):
             # Batched cells only become results after the fleet sweep, so
             # cancellation aborts the whole stage (nothing checkpointable
@@ -926,13 +873,7 @@ class Gauntlet:
                 renderer.update()
             return outcome, quality, elapsed
 
-        if workers <= 1 or len(cells) < 2:
-            staged = [run_cell(cell) for cell in cells]
-        else:
-            with ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="gauntlet"
-            ) as pool:
-                staged = list(pool.map(run_cell, cells))
+        staged = [run_cell(cell) for cell in cells]
 
         # -- stage 2: one batched verify_fleet sweep -----------------------
         # Every attacked model is alive simultaneously here — the
@@ -982,7 +923,6 @@ class Gauntlet:
         return RobustnessReport(
             cells=results,
             seed=self.config.seed,
-            workers=workers,
             wall_clock_seconds=time.perf_counter() - wall_start,
             verify_seconds=verify_seconds,
             cache_hits=fleet.cache_hits,

@@ -1,8 +1,8 @@
 """Process-pool execution of gauntlet cells over shared-memory residents.
 
-The thread-mode gauntlet is GIL-bound wherever an attack's heavy stage is
-Python-level work (GPTQ requantization, adaptive-oracle scoring), so on
-multi-core boxes ``mode="process"`` farms cells out to real processes.  The
+The in-process gauntlet modes run one cell at a time, so on multi-core boxes
+``mode="process"`` farms cells out to real processes — the repository's only
+parallel executor.  The
 memory model:
 
 * **Shared, read-only, published once** — every subject model and owner key
@@ -24,8 +24,8 @@ backed by remote hosts instead of local processes.
 Determinism: a worker derives each cell's RNG from ``(seed, coordinates)``
 exactly as the in-process modes do, verification consumes the parent's
 precomputed locations verbatim, and location reproduction itself is a pure
-function of the key — so decision digests are bit-identical to serial and
-thread execution at any worker count and under any start method.
+function of the key — so decision digests are bit-identical to serial
+execution at any worker count and under any start method.
 """
 
 from __future__ import annotations

@@ -186,9 +186,8 @@ class RobustnessReport:
     #: "process"; an "auto" request records what it resolved to).
     #: Informational only — decision fields and the digest are mode-invariant.
     mode: str = "streaming"
-    #: How cells were actually executed: "serial", "thread" or "process".
-    #: Distinguishes the two faces of the streaming pipeline (one worker vs
-    #: a thread pool).  Informational only, like ``mode``.
+    #: How cells were actually executed: "serial" (the in-process modes) or
+    #: "process".  Informational only, like ``mode``.
     executor: str = "serial"
     #: Multiprocessing start method of a process-mode run ("fork"/"spawn"/
     #: "forkserver"); ``None`` for the in-process executors.

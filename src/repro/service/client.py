@@ -251,8 +251,8 @@ class VerificationClient:
         entries are attack names or ``{"name": ..., "strengths": [...]}``
         objects; omitted, the server sweeps every corpus-free attack at its
         default strengths.  ``executor`` picks the cell executor
-        (``"serial"``, ``"thread"``, ``"process"`` or ``"auto"``; omitted,
-        the server's streaming default).  Returns the suspect id, the key id
+        (``"serial"``, ``"process"`` or ``"auto"``; omitted, the server's
+        serial streaming default).  Returns the suspect id, the key id
         swept, and the gauntlet report (per-cell ownership evidence, min-WER
         per attack, decision digest).
         """

@@ -414,7 +414,12 @@ class KeyRegistry:
             return record
 
     def revoke(self, key_id: str) -> KeyRecord:
-        """Mark a key as revoked (it stays on disk but stops being served)."""
+        """Mark a key as revoked (it stays on disk but stops being served).
+
+        A disk-backed registry also drops the key's material from memory: a
+        revoked key is no longer verified against, and :meth:`get_key`
+        reloads it from disk if an audit asks for it.
+        """
         with self._index_lock:
             record = self._record_or_raise(key_id)
             if not record.revoked:
@@ -422,6 +427,9 @@ class KeyRegistry:
                 if self.root is not None:
                     self._persist_record(record)
                 logger.info("revoked key %s", key_id)
+        if self.root is not None:
+            with self._resident_lock:
+                self._resident.pop(key_id, None)
         return record
 
     # ------------------------------------------------------------------

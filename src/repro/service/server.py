@@ -141,6 +141,10 @@ _SERVER_COUNTERS = {
         "repro_server_rejected_queue_full_total",
         "requests rejected on a full dispatch queue",
     ),
+    "rejected_job_limit": (
+        "repro_server_rejected_job_limit_total",
+        "robustness jobs rejected by the job manager's active-job bound",
+    ),
     "timeouts": ("repro_server_timeouts_total", "requests that timed out server-side"),
     "errors": ("repro_server_errors_total", "requests answered with an error"),
     "gauntlets": ("repro_server_gauntlets_total", "completed /robustness sweeps"),
@@ -1050,18 +1054,13 @@ class VerificationServer(AsyncHttpServer):
         config_kwargs: Dict[str, object] = {"seed": seed, "evaluate_quality": False}
         executor = payload.get("executor")
         if executor is not None:
-            if executor not in ("serial", "thread", "process", "auto"):
+            if executor not in ("serial", "process", "auto"):
                 raise _HttpError(
                     400,
-                    f"unknown executor {executor!r}; "
-                    "pick serial, thread, process or auto",
+                    f"unknown executor {executor!r}; pick serial, process or auto",
                 )
-            if executor == "serial":
-                config_kwargs["max_workers"] = 1
-            elif executor == "process":
-                config_kwargs["mode"] = "process"
-            elif executor == "auto":
-                config_kwargs["mode"] = "auto"
+            if executor != "serial":
+                config_kwargs["mode"] = executor
         try:
             if "wer_threshold" in payload:
                 config_kwargs["wer_threshold"] = float(payload["wer_threshold"])
@@ -1141,13 +1140,13 @@ class VerificationServer(AsyncHttpServer):
         fine-tuning, GPTQ re-quantization, the adaptive attacker, souping)
         stay client-side.  Quality evaluation is disabled — the server holds
         keys and suspects, not evaluation corpora — so every cell reports
-        ownership evidence only.  By default the sweep runs in streaming
-        mode on the shared engine (each attacked model is verified and
-        released as its worker finishes, so a grid never holds more than the
-        worker count in memory), reusing any location plans the verification
-        traffic has already cached; an ``executor`` payload key of
-        ``"serial"``, ``"thread"``, ``"process"`` or ``"auto"`` selects the
-        cell executor explicitly (``"process"`` publishes the suspect into
+        ownership evidence only.  By default the sweep runs serially in
+        streaming mode on the shared engine (each attacked model is verified
+        and released before the next cell starts, so a grid holds one
+        attacked model at a time), reusing any location plans the
+        verification traffic has already cached; an ``executor`` payload key
+        of ``"serial"``, ``"process"`` or ``"auto"`` selects the cell
+        executor explicitly (``"process"`` publishes the suspect into
         shared memory and runs cells in worker processes).  Every cell
         verdict is written to the audit log.
 
@@ -1282,7 +1281,8 @@ class VerificationServer(AsyncHttpServer):
             job = self.jobs.submit(run_sweep, total_cells=request.num_cells, meta=meta)
         except JobLimitError as exc:
             raise _HttpError(
-                429, str(exc), code="job_limit", retry_after=1.0
+                429, str(exc), code="job_limit", retry_after=1.0,
+                counter="rejected_job_limit",
             ) from exc
         self._counters["jobs_submitted"].inc()
         return 202, {"job": job.status()}, {"Location": f"/v1/jobs/{job.job_id}"}

@@ -32,17 +32,14 @@ def gauntlet_report(**overrides):
         "grid": {"total_cells": 19},
         "repeats": 1,
         "serial_seconds": 2.0,
-        "parallel_seconds": 1.0,
         "process_seconds": 0.8,
         "parallel_workers": 4,
-        "speedup": 2.0,
         "process_speedup": 2.5,
         "process_start_method": "fork",
         "peak_rss_kb": {"parent": 500_000, "worker_max": 120_000},
         "instrumented_seconds": 2.05,
         "telemetry_throughput_ratio": 0.98,
         "telemetry_spans_recorded": 120,
-        "decision_digests_equal": True,
         "streaming_batched_digests_equal": True,
         "streaming_process_digests_equal": True,
         "telemetry_digests_equal": True,
@@ -160,9 +157,9 @@ class TestSchemaValidation:
 
     def test_missing_field_reported_by_name(self):
         report = gauntlet_report()
-        del report["speedup"]
+        del report["process_speedup"]
         errors = compare_bench.validate_schema(report)
-        assert any("'speedup'" in e and "missing" in e for e in errors)
+        assert any("'process_speedup'" in e and "missing" in e for e in errors)
 
     def test_wrong_type_reported(self):
         errors = compare_bench.validate_schema(gauntlet_report(serial_seconds="fast"))
@@ -170,11 +167,11 @@ class TestSchemaValidation:
 
     def test_bool_is_not_a_number(self):
         # True would satisfy isinstance(x, int): the schema must reject it.
-        errors = compare_bench.validate_schema(gauntlet_report(speedup=True))
-        assert any("'speedup'" in e for e in errors)
+        errors = compare_bench.validate_schema(gauntlet_report(process_speedup=True))
+        assert any("'process_speedup'" in e for e in errors)
 
     def test_schema_errors_shortcircuit_gates(self):
-        report = gauntlet_report(decision_digests_equal=False)
+        report = gauntlet_report(streaming_batched_digests_equal=False)
         del report["min_wer_by_attack"]
         problems = compare_bench.evaluate_report(report)
         # Only the schema error is reported; gates never ran on a bad shape.
@@ -182,12 +179,6 @@ class TestSchemaValidation:
 
 
 class TestGauntletGates:
-    def test_decision_equivalence_flag_gates(self):
-        problems = compare_bench.evaluate_report(
-            gauntlet_report(decision_digests_equal=False)
-        )
-        assert any("serial and parallel" in p for p in problems)
-
     def test_streaming_batched_flag_gates(self):
         problems = compare_bench.evaluate_report(
             gauntlet_report(streaming_batched_digests_equal=False)
@@ -218,18 +209,6 @@ class TestGauntletGates:
         bad["min_wer_by_attack"]["capacity"] = 99.9
         problems = compare_bench.evaluate_report(bad)
         assert any("capacity" in p for p in problems)
-
-    def test_speedup_gate_skipped_in_smoke_mode(self):
-        assert compare_bench.evaluate_report(gauntlet_report(speedup=0.4)) == []
-
-    def test_speedup_gate_applies_in_measured_mode(self):
-        problems = compare_bench.evaluate_report(
-            gauntlet_report(smoke=False, speedup=0.9)
-        )
-        assert any("speedup" in p for p in problems)
-        assert compare_bench.evaluate_report(
-            gauntlet_report(smoke=False, speedup=1.0)
-        ) == []
 
     def test_streaming_process_flag_gates(self):
         problems = compare_bench.evaluate_report(
@@ -448,11 +427,11 @@ class TestCli:
     def test_failing_report_exits_one_and_names_problem(self, tmp_path, capsys):
         bad = self._write(
             tmp_path / "BENCH_gauntlet.json",
-            gauntlet_report(decision_digests_equal=False),
+            gauntlet_report(streaming_process_digests_equal=False),
         )
         assert compare_bench.main([str(bad)]) == 1
         out = capsys.readouterr().out
-        assert "FAIL" in out and "serial and parallel" in out
+        assert "FAIL" in out and "streaming and process" in out
 
     def test_unreadable_json_exits_one(self, tmp_path):
         bad = tmp_path / "BENCH_x.json"

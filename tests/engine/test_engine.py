@@ -1,7 +1,7 @@
 """Tests for the unified watermark engine.
 
-Covers the ISSUE-1 acceptance points: cache-hit determinism (locations are
-identical cold / warm / parallel), zero rescoring on warm-cache extraction,
+Covers cache-hit determinism (locations are identical cold / warm / across
+independent engines), zero rescoring on warm-cache extraction,
 plan-cache eviction behaviour inside the engine, and the batch serving APIs
 (``verify_fleet`` over mixed suspects, ``insert_batch``).
 """
@@ -22,29 +22,8 @@ def config(quantized_awq4):
     return EmMarkConfig.scaled_for_model(quantized_awq4, bits_per_layer=8)
 
 
-def serial_engine() -> WatermarkEngine:
-    return WatermarkEngine(EngineConfig(max_workers=1))
-
-
-def parallel_engine(workers: int = 4) -> WatermarkEngine:
-    return WatermarkEngine(EngineConfig(max_workers=workers))
-
-
 class TestEngineConfig:
-    def test_explicit_workers_resolved(self):
-        assert EngineConfig(max_workers=3).resolved_workers() == 3
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_WORKERS", "5")
-        assert EngineConfig().resolved_workers() == 5
-
-    def test_invalid_env_ignored(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_WORKERS", "many")
-        assert EngineConfig().resolved_workers() >= 1
-
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EngineConfig(max_workers=0)
         with pytest.raises(ValueError):
             EngineConfig(plan_cache_entries=0)
 
@@ -53,46 +32,36 @@ class TestDeterminism:
     def test_locations_identical_cold_warm_and_parallel(
         self, quantized_awq4, activation_stats, config
     ):
-        cold = serial_engine()
+        cold = WatermarkEngine()
         _, key, _ = cold.insert(quantized_awq4, activation_stats, config=config)
         cold_locations = cold.reproduce_locations(key)          # warm lookup
-        fresh = serial_engine()
-        fresh_locations = fresh.reproduce_locations(key)        # cold recompute
-        threaded = parallel_engine()
-        parallel_locations = threaded.reproduce_locations(key)  # cold, parallel
+        fresh_locations = WatermarkEngine().reproduce_locations(key)  # cold recompute
         for name in key.layer_names:
             np.testing.assert_array_equal(cold_locations[name], fresh_locations[name])
-            np.testing.assert_array_equal(cold_locations[name], parallel_locations[name])
 
     def test_serial_and_parallel_insertion_agree(
         self, quantized_awq4, activation_stats, config
     ):
-        serial_model, _, _ = serial_engine().insert(
-            quantized_awq4, activation_stats, config=config
-        )
-        parallel_model, _, _ = parallel_engine().insert(
-            quantized_awq4, activation_stats, config=config
-        )
-        for name in serial_model.layer_names():
+        # Two engines with private cold caches insert bit-identical weights.
+        first, _, _ = WatermarkEngine().insert(quantized_awq4, activation_stats, config=config)
+        second, _, _ = WatermarkEngine().insert(quantized_awq4, activation_stats, config=config)
+        for name in first.layer_names():
             np.testing.assert_array_equal(
-                serial_model.get_layer(name).weight_int,
-                parallel_model.get_layer(name).weight_int,
+                first.get_layer(name).weight_int, second.get_layer(name).weight_int
             )
 
     def test_eviction_does_not_change_results(
         self, quantized_awq4, activation_stats, config
     ):
         """A pathologically small cache thrashes but stays correct."""
-        tiny = WatermarkEngine(
-            EngineConfig(max_workers=1), cache=PlanCache(max_entries=1)
-        )
+        tiny = WatermarkEngine(cache=PlanCache(max_entries=1))
         watermarked, key, _ = tiny.insert(quantized_awq4, activation_stats, config=config)
         result = tiny.extract(watermarked, key)
         assert result.wer_percent == 100.0
         assert tiny.cache.evictions > 0
 
     def test_functional_api_accepts_engine(self, quantized_awq4, activation_stats, config):
-        engine = serial_engine()
+        engine = WatermarkEngine()
         watermarked, key, _ = insert_watermark(
             quantized_awq4, activation_stats, config=config, engine=engine
         )
@@ -105,7 +74,7 @@ class TestWarmCache:
     def test_extraction_after_insertion_performs_zero_rescoring(
         self, quantized_awq4, activation_stats, config
     ):
-        engine = parallel_engine()
+        engine = WatermarkEngine()
         watermarked, key, report = engine.insert(
             quantized_awq4, activation_stats, config=config
         )
@@ -118,7 +87,7 @@ class TestWarmCache:
         assert traffic.hits == len(key.layer_names)
 
     def test_repeat_verification_stays_warm(self, quantized_awq4, activation_stats, config):
-        engine = serial_engine()
+        engine = WatermarkEngine()
         watermarked, key, _ = engine.insert(quantized_awq4, activation_stats, config=config)
         assert engine.verify(watermarked, key)
         before = engine.cache_info()
@@ -128,7 +97,7 @@ class TestWarmCache:
         assert engine.cache_info().delta(before).misses == 0
 
     def test_repeated_insertion_hits_cache(self, quantized_awq4, activation_stats, config):
-        engine = serial_engine()
+        engine = WatermarkEngine()
         _, _, first = engine.insert(quantized_awq4, activation_stats, config=config)
         _, _, second = engine.insert(quantized_awq4, activation_stats, config=config)
         assert first.cache_misses == first.num_layers
@@ -136,7 +105,7 @@ class TestWarmCache:
         assert second.cache_hits == second.num_layers
 
     def test_config_change_invalidates_plans(self, quantized_awq4, activation_stats, config):
-        engine = serial_engine()
+        engine = WatermarkEngine()
         engine.insert(quantized_awq4, activation_stats, config=config)
         before = engine.cache_info()
         engine.insert(
@@ -149,19 +118,17 @@ class TestInsertionReportTiming:
     def test_wall_clock_and_cpu_seconds_reported(
         self, quantized_awq4, activation_stats, config
     ):
-        engine = parallel_engine()
+        engine = WatermarkEngine()
         _, _, report = engine.insert(quantized_awq4, activation_stats, config=config)
         assert report.wall_clock_seconds > 0
         assert report.total_seconds == pytest.approx(sum(report.per_layer_seconds))
         assert report.cpu_seconds == report.total_seconds
-        assert report.parallel_workers == 4
-        assert report.parallel_speedup > 0
 
 
 class TestVerifyFleet:
     @pytest.fixture()
     def fleet(self, quantized_awq4, activation_stats, config):
-        engine = parallel_engine()
+        engine = WatermarkEngine()
         watermarked, key, _ = engine.insert(quantized_awq4, activation_stats, config=config)
         attacked = parameter_overwrite_attack(
             watermarked, OverwriteAttackConfig(weights_per_layer=3, style="resample", seed=1)
@@ -225,7 +192,7 @@ class TestVerifyFleet:
 
 class TestInsertBatch:
     def test_batch_round_trip(self, quantized_awq4, activation_stats, config):
-        engine = parallel_engine()
+        engine = WatermarkEngine()
         result = engine.insert_batch(
             {"a": quantized_awq4.clone(), "b": quantized_awq4.clone()},
             activation_stats,
@@ -238,7 +205,7 @@ class TestInsertBatch:
             assert extraction.wer_percent == 100.0
 
     def test_identical_models_share_plans(self, quantized_awq4, activation_stats, config):
-        engine = serial_engine()
+        engine = WatermarkEngine()
         result = engine.insert_batch(
             [quantized_awq4.clone(), quantized_awq4.clone()],
             activation_stats,
@@ -249,7 +216,7 @@ class TestInsertBatch:
         assert reports[1].cache_misses == 0
 
     def test_activation_sequence_must_align(self, quantized_awq4, activation_stats):
-        engine = serial_engine()
+        engine = WatermarkEngine()
         with pytest.raises(ValueError):
             engine.insert_batch(
                 [quantized_awq4.clone(), quantized_awq4.clone()],

@@ -41,18 +41,13 @@ def _grid_attacks(small_dataset):
 
 @pytest.fixture(scope="module")
 def reference_digests(awq_subject, small_dataset):
-    """Serial and thread digests of the shared grid, computed once."""
-    subjects = {"awq": awq_subject}
+    """The in-process (serial) report of the shared grid, computed once."""
     serial = run_gauntlet(
-        subjects, _grid_attacks(small_dataset), GRID_STRENGTHS,
-        max_workers=1, seed=11, evaluate_quality=False,
-    )
-    threaded = run_gauntlet(
-        subjects, _grid_attacks(small_dataset), GRID_STRENGTHS,
+        {"awq": awq_subject}, _grid_attacks(small_dataset), GRID_STRENGTHS,
         max_workers=4, seed=11, evaluate_quality=False,
     )
-    assert serial.executor == "serial" and threaded.executor == "thread"
-    assert serial.decision_digest() == threaded.decision_digest()
+    # The pool width only sizes the process executor; in-process is serial.
+    assert serial.executor == "serial" and serial.workers == 1
     return serial
 
 
@@ -111,11 +106,10 @@ class TestDigestEquality:
         self, awq_subject, small_dataset
     ):
         """Fork hygiene: a forked worker inherits the parent's default engine
-        — thread pool and all — and re-watermarking inserts through it.  With
-        a deliberately warmed (live-threaded) parent pool, the run still
-        completes because the at-fork reset drops the dead executor."""
-        engine = get_default_engine()
-        engine._pool()  # force a live ThreadPoolExecutor in the parent
+        — plan cache, locks and all — and re-watermarking inserts through it.
+        With a deliberately warmed parent cache, the run still completes
+        because the at-fork reset replaces the inherited locks."""
+        get_default_engine().reproduce_locations(awq_subject.key)
         report = run_gauntlet(
             {"awq": awq_subject},
             [build_attack("rewatermark", calibration_corpus=small_dataset.calibration)],

@@ -2,7 +2,7 @@
 
 The hard invariant of the observability layer: gauntlet decision digests are
 bit-identical with tracing and progress enabled vs disabled, across the
-serial, thread, and process executors (the latter under both ``fork`` and
+serial and process executors (the latter under both ``fork`` and
 ``spawn``).  Spans are measurement-only; the progress renderer is I/O-only;
 worker telemetry (pids, utilization) never enters ``decision_fields``.
 """
@@ -114,14 +114,6 @@ class TestProgressDigestInvariance:
         assert "cells/s" in output
         assert "min WER" in output
         assert output.endswith("\n")
-
-    def test_thread_progress_renders_and_digest_unchanged(
-        self, awq_subject, untraced_reference
-    ):
-        report, output = self._run_with_progress(awq_subject, max_workers=4)
-        assert report.executor == "thread"
-        assert report.decision_digest() == untraced_reference.decision_digest()
-        assert "[3/3]" in output
 
     def test_process_progress_renders_and_digest_unchanged(
         self, awq_subject, untraced_reference

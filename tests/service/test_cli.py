@@ -73,6 +73,8 @@ class TestHelp:
         with pytest.raises(SystemExit):
             parser.parse_args(["gauntlet", "--executor", "quantum"])
         with pytest.raises(SystemExit):
+            parser.parse_args(["gauntlet", "--executor", "thread"])
+        with pytest.raises(SystemExit):
             parser.parse_args(["gauntlet", "--start-method", "psychic"])
 
 

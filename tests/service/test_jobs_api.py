@@ -265,6 +265,26 @@ class TestJobAdmission:
                 running.cancel()
                 running.wait(timeout=120)
 
+    def test_job_limit_rejection_has_its_own_counter(self, tmp_path, watermarked_and_key):
+        watermarked, key = watermarked_and_key
+        with _start_server(tmp_path, job_max_active=1) as handle:
+            with VerificationClient(port=handle.port) as client:
+                client.register_key(key, owner="acme")
+                client.upload_suspect(watermarked, suspect_id="prod")
+                running = client.submit_robustness_job(
+                    "prod", attacks=SLOW_ATTACKS, seed=3, executor="serial"
+                )
+                with pytest.raises(RateLimitedError):
+                    client.submit_robustness_job(
+                        "prod", attacks=SLOW_ATTACKS, seed=4, executor="serial"
+                    )
+                server_stats = client.stats()["server"]
+                assert server_stats["rejected_job_limit"] == 1
+                assert server_stats["rejected_rate_limit"] == 0
+                assert "repro_server_rejected_job_limit_total 1" in client.metrics()
+                running.cancel()
+                running.wait(timeout=120)
+
     def test_jobs_surface_in_stats(self, job_client):
         handle = job_client.submit_robustness_job("hit", attacks=ATTACKS, seed=3)
         handle.wait(timeout=120)

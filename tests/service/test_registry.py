@@ -289,3 +289,30 @@ class TestPersistence:
         reloaded_key = registry.get_key(first.key_id)
         assert reloaded_key.fingerprint() == key.fingerprint()
         assert registry.stats()["key_loads"] == 3
+
+    def test_revoke_drops_resident_material_and_get_key_reloads(
+        self, quantized_awq4, activation_stats, emmark_config, tmp_path
+    ):
+        from repro.engine import WatermarkEngine
+
+        engine = WatermarkEngine()
+        keys = [
+            engine.insert(
+                quantized_awq4,
+                activation_stats,
+                config=emmark_config.with_overrides(seed=emmark_config.seed + offset),
+            )[1]
+            for offset in range(5)
+        ]
+        registry = KeyRegistry(tmp_path / "reg", max_resident_keys=None)
+        records = [registry.register(key, owner=f"owner-{i}") for i, key in enumerate(keys)]
+        assert registry.stats()["resident"] == 5
+        for record in records:
+            registry.revoke(record.key_id)
+        stats = registry.stats()
+        assert stats["resident"] == 0
+        assert stats["revoked"] == 5
+        # Audits still reach a revoked key: it reloads lazily from disk.
+        reloaded = registry.get_key(records[0].key_id)
+        assert reloaded.fingerprint() == keys[0].fingerprint()
+        assert registry.stats()["key_loads"] == 1

@@ -59,6 +59,14 @@ class TestRobustnessEndpoint:
         with pytest.raises(ServiceError, match="unknown executor"):
             client.robustness("hit", attacks=ATTACKS, executor="quantum")
 
+    def test_thread_executor_rejected_on_both_surfaces(self, client):
+        # The in-process modes have one serial path; "thread" is not an executor.
+        with pytest.raises(ServiceError, match="unknown executor") as sync_exc:
+            client.robustness("hit", attacks=ATTACKS, executor="thread")
+        with pytest.raises(ServiceError, match="unknown executor") as job_exc:
+            client.submit_robustness_job("hit", attacks=ATTACKS, executor="thread")
+        assert sync_exc.value.status == job_exc.value.status == 400
+
     def test_default_attacks_are_corpus_free(self, client):
         out = client.robustness("hit", attacks=[
             {"name": "overwrite", "strengths": [10]},
